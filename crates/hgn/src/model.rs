@@ -268,21 +268,26 @@ impl SimpleHgn {
                 let a_dst = bindings.leaf(graph, params, head.a_dst);
                 let s_src = graph.matmul(hw, a_src); // [n, 1]
                 let s_dst = graph.matmul(hw, a_dst); // [n, 1]
-                let e_src = graph.gather_rows(s_src, view.src.clone()); // [E,1]
-                let e_dst = graph.gather_rows(s_dst, view.dst.clone()); // [E,1]
-                let mut score = graph.add(e_src, e_dst);
-                if let (Some(emb), Some(a_edge_id), Some(w_r_id)) =
-                    (edge_emb_matrix, head.a_edge, head.w_r)
-                {
-                    let w_r = bindings.leaf(graph, params, w_r_id);
-                    let a_edge = bindings.leaf(graph, params, a_edge_id);
-                    let transformed = graph.matmul(emb, w_r); // [T, d_e]
-                    let per_type = graph.matmul(transformed, a_edge); // [T, 1]
-                    let per_edge = graph.gather_rows(per_type, view.etype.clone()); // [E,1]
-                    score = graph.add(score, per_edge);
-                }
-                let act = graph.leaky_relu(score, cfg.negative_slope);
-                let mut alpha = graph.segment_softmax(act, view.segments.clone());
+                let per_type = match (edge_emb_matrix, head.a_edge, head.w_r) {
+                    (Some(emb), Some(a_edge_id), Some(w_r_id)) => {
+                        let w_r = bindings.leaf(graph, params, w_r_id);
+                        let a_edge = bindings.leaf(graph, params, a_edge_id);
+                        let transformed = graph.matmul(emb, w_r); // [T, d_e]
+                        Some(graph.matmul(transformed, a_edge)) // [T, 1]
+                    }
+                    _ => None,
+                };
+                // α = segment_softmax(LeakyReLU(s_src[u] + s_dst[v] + per_type[ψ(e)]))
+                let mut alpha = graph.gat_attention(
+                    s_src,
+                    s_dst,
+                    per_type,
+                    view.src.clone(),
+                    view.dst.clone(),
+                    view.etype.clone(),
+                    view.segments.clone(),
+                    cfg.negative_slope,
+                ); // [E,1]
                 if cfg.attn_residual > 0.0 {
                     if let Some(&prev) = prev_alphas.get(head_outputs.len()) {
                         let fresh = graph.scale(alpha, 1.0 - cfg.attn_residual);
@@ -291,9 +296,14 @@ impl SimpleHgn {
                     }
                 }
                 new_alphas.push(alpha);
-                let src_feats = graph.gather_rows(hw, view.src.clone()); // [E, hidden]
-                let weighted = graph.mul_col_broadcast(src_feats, alpha);
-                let agg = graph.scatter_add_rows(weighted, view.dst.clone(), view.num_nodes);
+                // agg[v] = Σ_e α_e · hw[u]  → [n, hidden]
+                let agg = graph.gather_scale_scatter(
+                    hw,
+                    alpha,
+                    view.src.clone(),
+                    view.dst.clone(),
+                    view.num_nodes,
+                );
                 head_outputs.push(agg);
             }
             prev_alphas = new_alphas;

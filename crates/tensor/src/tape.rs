@@ -9,7 +9,9 @@
 //! networks: besides dense algebra it includes `gather_rows` /
 //! `scatter_add_rows` (message passing), `segment_softmax` (per-destination
 //! attention normalisation), and row-wise L2 normalisation (the Simple-HGN
-//! output head).
+//! output head). Two fused ops, [`Graph::gat_attention`] and
+//! [`Graph::gather_scale_scatter`], run the GAT edge chains built from those
+//! primitives in one pass each, with bit-identical values and gradients.
 
 use crate::matrix::Matrix;
 use std::sync::Arc;
@@ -32,11 +34,18 @@ pub struct Segments {
 
 impl Segments {
     /// Build a segment descriptor, validating ids.
+    ///
+    /// # Panics
+    /// Panics if any id is `>= n_segments`.
     pub fn new(seg_of_row: Vec<u32>, n_segments: usize) -> Self {
-        debug_assert!(
-            seg_of_row.iter().all(|&s| (s as usize) < n_segments),
-            "Segments: id out of range"
-        );
+        // One max over the ids (a vectorised reduction) rather than a
+        // branch per row: every client's view builds one of these.
+        if let Some(&max) = seg_of_row.iter().max() {
+            assert!(
+                (max as usize) < n_segments,
+                "Segments: id {max} out of range for {n_segments} segments"
+            );
+        }
         Self {
             seg_of_row,
             n_segments,
@@ -76,6 +85,25 @@ enum Op {
     MeanAll(Var),
     BceWithLogits(Var, Arc<Vec<f32>>),
     Dropout(Var, Arc<Vec<f32>>),
+    /// Fused GAT edge attention; see [`Graph::gat_attention`].
+    GatAttention {
+        s_src: Var,
+        s_dst: Var,
+        per_type: Option<Var>,
+        src: Arc<Vec<u32>>,
+        dst: Arc<Vec<u32>>,
+        etype: Arc<Vec<u32>>,
+        segs: Arc<Segments>,
+        slope: f32,
+    },
+    /// Fused attention-weighted aggregation; see
+    /// [`Graph::gather_scale_scatter`].
+    GatherScaleScatter {
+        h: Var,
+        alpha: Var,
+        src: Arc<Vec<u32>>,
+        dst: Arc<Vec<u32>>,
+    },
 }
 
 struct Node {
@@ -373,32 +401,118 @@ impl Graph {
             m,
             "segment_softmax: segment count mismatch"
         );
-        let x = self.value(a).as_slice();
-        let mut maxes = vec![f32::NEG_INFINITY; segs.n_segments];
-        for (i, &s) in segs.seg_of_row.iter().enumerate() {
-            let s = s as usize;
-            if x[i] > maxes[s] {
-                maxes[s] = x[i];
-            }
-        }
-        let mut value = Matrix::zeros(m, 1);
-        let mut sums = vec![0.0f32; segs.n_segments];
-        {
-            let out = value.as_mut_slice();
-            for (i, &s) in segs.seg_of_row.iter().enumerate() {
-                let e = (x[i] - maxes[s as usize]).exp();
-                out[i] = e;
-                sums[s as usize] += e;
-            }
-            for (i, &s) in segs.seg_of_row.iter().enumerate() {
-                let denom = sums[s as usize];
-                if denom > 0.0 {
-                    out[i] /= denom;
-                }
-            }
-        }
+        let mut value = self.value(a).clone();
+        segment_softmax_in_place(value.as_mut_slice(), &segs);
         let rg = self.requires(a);
         self.push(value, Op::SegmentSoftmax(a, segs), rg)
+    }
+
+    /// Fused GAT edge attention over `E` edges:
+    /// `segment_softmax(leaky_relu(s_src[src] + s_dst[dst] + per_type[etype]))`.
+    ///
+    /// `s_src`, `s_dst` and `per_type` are column vectors (`per_type` is
+    /// skipped when `None`, and `etype` is then ignored); `segs` groups the
+    /// edges (normally by destination). Value and gradients are bit-identical
+    /// to the composed chain `gather_rows` ×3 → `add` ×2 → `leaky_relu` →
+    /// `segment_softmax`, without its `E`-row intermediates.
+    ///
+    /// # Panics
+    /// Panics on a shape mismatch or an out-of-range `src`, `dst` or `etype`
+    /// index.
+    #[allow(clippy::too_many_arguments)]
+    pub fn gat_attention(
+        &mut self,
+        s_src: Var,
+        s_dst: Var,
+        per_type: Option<Var>,
+        src: Arc<Vec<u32>>,
+        dst: Arc<Vec<u32>>,
+        etype: Arc<Vec<u32>>,
+        segs: Arc<Segments>,
+        slope: f32,
+    ) -> Var {
+        let m = src.len();
+        assert_eq!(dst.len(), m, "gat_attention: src/dst length mismatch");
+        assert_eq!(
+            segs.seg_of_row.len(),
+            m,
+            "gat_attention: segment count mismatch"
+        );
+        let scores = EdgeScores::new(self, s_src, s_dst, per_type, &src, &dst, &etype);
+        let mut value = Matrix::zeros(m, 1);
+        for (e, o) in value.as_mut_slice().iter_mut().enumerate() {
+            *o = scores.checked(e);
+            if *o < 0.0 {
+                *o *= slope;
+            }
+        }
+        segment_softmax_in_place(value.as_mut_slice(), &segs);
+        let rg = self.requires(s_src)
+            || self.requires(s_dst)
+            || per_type.is_some_and(|p| self.requires(p));
+        let op = Op::GatAttention {
+            s_src,
+            s_dst,
+            per_type,
+            src,
+            dst,
+            etype,
+            segs,
+            slope,
+        };
+        self.push(value, op, rg)
+    }
+
+    /// Fused attention-weighted aggregation: `out[dst[e]] += h[src[e]] * alpha[e]`
+    /// over `E` edges, with `out_rows` output rows and `alpha` an `[E,1]`
+    /// column.
+    ///
+    /// Value and gradients are bit-identical to
+    /// `scatter_add_rows(mul_col_broadcast(gather_rows(h, src), alpha), dst)`,
+    /// without its two `[E, cols]` intermediates.
+    ///
+    /// # Panics
+    /// Panics on a shape mismatch or an out-of-range `src` or `dst` index.
+    pub fn gather_scale_scatter(
+        &mut self,
+        h: Var,
+        alpha: Var,
+        src: Arc<Vec<u32>>,
+        dst: Arc<Vec<u32>>,
+        out_rows: usize,
+    ) -> Var {
+        let (rows, n) = self.shape(h);
+        let m = src.len();
+        assert_eq!(
+            dst.len(),
+            m,
+            "gather_scale_scatter: src/dst length mismatch"
+        );
+        assert_eq!(
+            self.shape(alpha),
+            (m, 1),
+            "gather_scale_scatter: alpha must be {m}x1"
+        );
+        let hv = self.value(h);
+        let av = self.value(alpha).as_slice();
+        let mut value = Matrix::zeros(out_rows, n);
+        for (e, (&s, &d)) in src.iter().zip(dst.iter()).enumerate() {
+            let (s, d) = (s as usize, d as usize);
+            assert!(
+                s < rows,
+                "gather_scale_scatter: src index {s} out of {rows} rows"
+            );
+            assert!(
+                d < out_rows,
+                "gather_scale_scatter: dst index {d} out of {out_rows} rows"
+            );
+            let a = av[e];
+            for (o, &x) in value.row_mut(d).iter_mut().zip(hv.row(s)) {
+                *o += x * a;
+            }
+        }
+        let rg = self.requires(h) || self.requires(alpha);
+        self.push(value, Op::GatherScaleScatter { h, alpha, src, dst }, rg)
     }
 
     /// Row-wise softmax: each row of `[m, n]` normalises independently
@@ -869,15 +983,105 @@ impl Graph {
                 let segs = segs.clone();
                 let y = self.nodes[i].value.as_slice();
                 let gv = g.as_slice();
-                let mut seg_dot = vec![0.0f32; segs.n_segments];
-                for (r, &s) in segs.seg_of_row.iter().enumerate() {
-                    seg_dot[s as usize] += gv[r] * y[r];
-                }
+                let seg_dot = segment_dot(gv, y, &segs);
                 let mut da = Matrix::zeros(y.len(), 1);
                 for (r, &s) in segs.seg_of_row.iter().enumerate() {
                     da.as_mut_slice()[r] = y[r] * (gv[r] - seg_dot[s as usize]);
                 }
                 Todo::One(a, da)
+            }
+            Op::GatAttention {
+                s_src,
+                s_dst,
+                per_type,
+                src,
+                dst,
+                etype,
+                segs,
+                slope,
+            } => {
+                let (s_src, s_dst, per_type, slope) = (*s_src, *s_dst, *per_type, *slope);
+                let (src, dst, etype, segs) =
+                    (src.clone(), dst.clone(), etype.clone(), segs.clone());
+                let scores = EdgeScores::new(self, s_src, s_dst, per_type, &src, &dst, &etype);
+                let zeros_for =
+                    |v: Var| self.requires(v).then(|| Matrix::zeros(self.shape(v).0, 1));
+                let mut d_src = zeros_for(s_src);
+                let mut d_dst = zeros_for(s_dst);
+                let mut d_type = per_type.and_then(zeros_for);
+                let y = self.nodes[i].value.as_slice();
+                let gv = g.as_slice();
+                let seg_dot = segment_dot(gv, y, &segs);
+                // Per edge: segment-softmax backward, then the leaky-ReLU
+                // gate on the recomputed score, then one scatter per parent.
+                for (e, &sg) in segs.seg_of_row.iter().enumerate() {
+                    let mut d = y[e] * (gv[e] - seg_dot[sg as usize]);
+                    if scores.at(e) < 0.0 {
+                        d *= slope;
+                    }
+                    if let Some(dt) = d_type.as_mut() {
+                        dt.as_mut_slice()[etype[e] as usize] += d;
+                    }
+                    if let Some(dd) = d_dst.as_mut() {
+                        dd.as_mut_slice()[dst[e] as usize] += d;
+                    }
+                    if let Some(ds) = d_src.as_mut() {
+                        ds.as_mut_slice()[src[e] as usize] += d;
+                    }
+                }
+                self.put_grad(i, g);
+                // Same parent order as the composed chain's reverse walk:
+                // the per-type gather is the latest node, then dst, then src.
+                if let (Some(p), Some(dt)) = (per_type, d_type) {
+                    self.accum_owned(p, dt);
+                }
+                if let Some(dd) = d_dst {
+                    self.accum_owned(s_dst, dd);
+                }
+                if let Some(ds) = d_src {
+                    self.accum_owned(s_src, ds);
+                }
+                return;
+            }
+            Op::GatherScaleScatter { h, alpha, src, dst } => {
+                let (h, alpha) = (*h, *alpha);
+                let (src, dst) = (src.clone(), dst.clone());
+                let hv = &self.nodes[h.0].value;
+                let av = self.nodes[alpha.0].value.as_slice();
+                let d_alpha = self.requires(alpha).then(|| {
+                    let data = src
+                        .iter()
+                        .zip(dst.iter())
+                        .map(|(&s, &d)| {
+                            g.row(d as usize)
+                                .iter()
+                                .zip(hv.row(s as usize))
+                                .map(|(&gv, &x)| gv * x)
+                                .sum()
+                        })
+                        .collect();
+                    Matrix::from_vec(src.len(), 1, data)
+                });
+                let d_h = self.requires(h).then(|| {
+                    let mut dh = Matrix::zeros(hv.rows(), hv.cols());
+                    for (e, (&s, &d)) in src.iter().zip(dst.iter()).enumerate() {
+                        let a = av[e];
+                        for (o, &gv) in dh.row_mut(s as usize).iter_mut().zip(g.row(d as usize)) {
+                            *o += gv * a;
+                        }
+                    }
+                    dh
+                });
+                self.put_grad(i, g);
+                // The composed chain reaches alpha (at the scale node) before
+                // h (at the gather node).
+                if let Some(da) = d_alpha {
+                    self.accum_owned(alpha, da);
+                }
+                if let Some(dh) = d_h {
+                    self.accum_owned(h, dh);
+                }
+                return;
             }
             Op::SoftmaxRows(a) => {
                 let a = *a;
@@ -1021,6 +1225,114 @@ impl Graph {
     }
 }
 
+/// Softmax of each segment of `v`, in place: subtract the segment max,
+/// exponentiate, divide by the segment sum. A segment whose sum is not
+/// `> 0` (all `-inf`, or NaN) is left undivided.
+fn segment_softmax_in_place(v: &mut [f32], segs: &Segments) {
+    let mut maxes = vec![f32::NEG_INFINITY; segs.n_segments];
+    for (&x, &s) in v.iter().zip(&segs.seg_of_row) {
+        let s = s as usize;
+        if x > maxes[s] {
+            maxes[s] = x;
+        }
+    }
+    let mut sums = vec![0.0f32; segs.n_segments];
+    for (x, &s) in v.iter_mut().zip(&segs.seg_of_row) {
+        let e = (*x - maxes[s as usize]).exp();
+        *x = e;
+        sums[s as usize] += e;
+    }
+    for (x, &s) in v.iter_mut().zip(&segs.seg_of_row) {
+        let denom = sums[s as usize];
+        if denom > 0.0 {
+            *x /= denom;
+        }
+    }
+}
+
+/// Per-segment `Σ g·y` over rows in ascending order: the shared term of the
+/// segment-softmax backward.
+fn segment_dot(g: &[f32], y: &[f32], segs: &Segments) -> Vec<f32> {
+    let mut seg_dot = vec![0.0f32; segs.n_segments];
+    for (r, &s) in segs.seg_of_row.iter().enumerate() {
+        seg_dot[s as usize] += g[r] * y[r];
+    }
+    seg_dot
+}
+
+/// Borrowed view of the pre-activation GAT edge scores
+/// `(s_src[src[e]] + s_dst[dst[e]]) + per_type[etype[e]]`, recomputed on
+/// demand so neither pass of [`Graph::gat_attention`] stores them.
+struct EdgeScores<'a> {
+    s_src: &'a [f32],
+    s_dst: &'a [f32],
+    per_type: Option<&'a [f32]>,
+    src: &'a [u32],
+    dst: &'a [u32],
+    etype: &'a [u32],
+}
+
+impl<'a> EdgeScores<'a> {
+    fn new(
+        graph: &'a Graph,
+        s_src: Var,
+        s_dst: Var,
+        per_type: Option<Var>,
+        src: &'a [u32],
+        dst: &'a [u32],
+        etype: &'a [u32],
+    ) -> Self {
+        let column = |v: Var, what: &str| {
+            let (_, c) = graph.shape(v);
+            assert_eq!(c, 1, "gat_attention: {what} must be a column vector");
+            graph.value(v).as_slice()
+        };
+        let per_type = per_type.map(|p| {
+            assert_eq!(
+                etype.len(),
+                src.len(),
+                "gat_attention: etype/src length mismatch"
+            );
+            column(p, "per_type")
+        });
+        Self {
+            s_src: column(s_src, "s_src"),
+            s_dst: column(s_dst, "s_dst"),
+            per_type,
+            src,
+            dst,
+            etype,
+        }
+    }
+
+    /// Score of edge `e`, with the same operand order as the composed
+    /// `add(add(e_src, e_dst), per_edge)`.
+    #[inline]
+    fn at(&self, e: usize) -> f32 {
+        let mut x = self.s_src[self.src[e] as usize] + self.s_dst[self.dst[e] as usize];
+        if let Some(pt) = self.per_type {
+            x += pt[self.etype[e] as usize];
+        }
+        x
+    }
+
+    /// [`Self::at`] with a readable panic for an out-of-range index.
+    fn checked(&self, e: usize) -> f32 {
+        let check = |idx: u32, len: usize, what: &str| {
+            assert!(
+                (idx as usize) < len,
+                "gat_attention: {what} index {idx} out of {len} rows"
+            );
+        };
+        check(self.src[e], self.s_src.len(), "src");
+        check(self.dst[e], self.s_dst.len(), "dst");
+        if let Some(pt) = self.per_type {
+            check(self.etype[e], pt.len(), "etype");
+        }
+        self.at(e)
+    }
+}
+
 /// Numerically-stable scalar sigmoid.
 #[inline]
 pub fn sigmoid_scalar(x: f32) -> f32 {
@@ -1091,6 +1403,13 @@ mod tests {
         let y = g.segment_softmax(x, segs);
         let v = g.value(y).as_slice();
         assert!((v[0] + v[1] - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    #[should_panic(expected = "Segments: id 3 out of range for 3 segments")]
+    fn segments_new_rejects_out_of_range_id() {
+        // A real check, not a debug assertion: it must fire in release too.
+        Segments::new(vec![0, 3, 1], 3);
     }
 
     #[test]

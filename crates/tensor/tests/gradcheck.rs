@@ -450,3 +450,175 @@ fn grad_composite_attention_like_network() {
         3e-2,
     );
 }
+
+/// Fused twin of `grad_composite_attention_like_network`: the same miniature
+/// GAT layer with the edge chain run by `gat_attention` and the aggregation
+/// by `gather_scale_scatter`. (The composed test scores `(hs + hd) @ attn`,
+/// which is `s[src] + s[dst]` with `s = wh @ attn`.)
+#[test]
+fn grad_composite_attention_like_network_fused() {
+    let mut rng = StdRng::seed_from_u64(17);
+    let h = randn(&mut rng, 4, 3);
+    let w = randn(&mut rng, 3, 2);
+    let attn = randn(&mut rng, 2, 1);
+    let src = Arc::new(vec![0u32, 1, 2, 3, 0]);
+    let dst = Arc::new(vec![1u32, 2, 3, 0, 2]);
+    let etype = Arc::new(vec![0u32; 5]);
+    let segs = Arc::new(Segments::new(vec![1, 2, 3, 0, 2], 4));
+    gradcheck(
+        &[h, w, attn],
+        |g, v| {
+            let wh = g.matmul(v[0], v[1]); // [4,2]
+            let s = g.matmul(wh, v[2]); // [4,1]
+            let alpha = g.gat_attention(
+                s,
+                s,
+                None,
+                src.clone(),
+                dst.clone(),
+                etype.clone(),
+                segs.clone(),
+                0.2,
+            );
+            let agg = g.gather_scale_scatter(wh, alpha, src.clone(), dst.clone(), 4);
+            let out = g.elu(agg, 1.0);
+            let normed = g.l2_normalize_rows(out, 1e-12);
+            let sq = g.mul(normed, normed);
+            g.sum_all(sq)
+        },
+        3e-2,
+    );
+}
+
+type Index = Arc<Vec<u32>>;
+
+/// Edge list shared by the fused-op checks: 4 nodes, node 3 receives no
+/// message, edge 2 repeats edge 0 and edge 4 is a self-loop.
+fn fused_edges() -> (Index, Index, Index, Arc<Segments>) {
+    let src = vec![0u32, 1, 0, 2, 2, 3];
+    let dst = vec![1u32, 1, 1, 0, 2, 0];
+    let etype = vec![0u32, 2, 0, 1, 2, 1];
+    let segs = Segments::new(dst.clone(), 4);
+    (
+        Arc::new(src),
+        Arc::new(dst),
+        Arc::new(etype),
+        Arc::new(segs),
+    )
+}
+
+#[test]
+fn grad_gat_attention() {
+    let (src, dst, etype, segs) = fused_edges();
+    let mut rng = StdRng::seed_from_u64(21);
+    // Redraw until every pre-activation score is clear of the LeakyReLU
+    // kink, so central differences never straddle it.
+    let (s_src, s_dst, per_type) = loop {
+        let (a, b, c) = (
+            randn(&mut rng, 4, 1),
+            randn(&mut rng, 4, 1),
+            randn(&mut rng, 3, 1),
+        );
+        let clear = (0..src.len()).all(|e| {
+            let x =
+                a.get(src[e] as usize, 0) + b.get(dst[e] as usize, 0) + c.get(etype[e] as usize, 0);
+            x.abs() > 0.05
+        });
+        if clear {
+            break (a, b, c);
+        }
+    };
+    let w = randn(&mut rng, 6, 1);
+    gradcheck(
+        &[s_src, s_dst, per_type, w],
+        |g, v| {
+            let alpha = g.gat_attention(
+                v[0],
+                v[1],
+                Some(v[2]),
+                src.clone(),
+                dst.clone(),
+                etype.clone(),
+                segs.clone(),
+                0.2,
+            );
+            let weighted = g.mul(alpha, v[3]);
+            let sq = g.mul(weighted, weighted);
+            g.sum_all(sq)
+        },
+        2e-2,
+    );
+}
+
+#[test]
+fn grad_gather_scale_scatter() {
+    let (src, dst, _, _) = fused_edges();
+    let mut rng = StdRng::seed_from_u64(22);
+    let h = randn(&mut rng, 4, 3);
+    let alpha = randn(&mut rng, 6, 1);
+    gradcheck(
+        &[h, alpha],
+        |g, v| {
+            let out = g.gather_scale_scatter(v[0], v[1], src.clone(), dst.clone(), 4);
+            let sq = g.mul(out, out);
+            g.sum_all(sq)
+        },
+        1e-2,
+    );
+}
+
+/// Run `gat_attention` over 3 nodes and 2 types on one edge `(s, d, t)`.
+fn attention_on_edge(s: u32, d: u32, t: u32) {
+    let mut g = Graph::new();
+    let s_src = g.leaf(Matrix::zeros(3, 1));
+    let s_dst = g.leaf(Matrix::zeros(3, 1));
+    let per_type = g.leaf(Matrix::zeros(2, 1));
+    g.gat_attention(
+        s_src,
+        s_dst,
+        Some(per_type),
+        Arc::new(vec![s]),
+        Arc::new(vec![d]),
+        Arc::new(vec![t]),
+        Arc::new(Segments::new(vec![0], 1)),
+        0.2,
+    );
+}
+
+#[test]
+#[should_panic(expected = "gat_attention: src index 3 out of 3 rows")]
+fn gat_attention_rejects_out_of_range_src() {
+    attention_on_edge(3, 0, 0);
+}
+
+#[test]
+#[should_panic(expected = "gat_attention: dst index 7 out of 3 rows")]
+fn gat_attention_rejects_out_of_range_dst() {
+    attention_on_edge(0, 7, 0);
+}
+
+#[test]
+#[should_panic(expected = "gat_attention: etype index 2 out of 2 rows")]
+fn gat_attention_rejects_out_of_range_etype() {
+    attention_on_edge(0, 0, 2);
+}
+
+/// Run `gather_scale_scatter` from 3 rows into 2 on one edge `s -> d`.
+fn aggregate_on_edge(s: u32, d: u32) {
+    let mut g = Graph::new();
+    let h = g.leaf(Matrix::zeros(3, 2));
+    let alpha = g.leaf(Matrix::zeros(1, 1));
+    g.gather_scale_scatter(h, alpha, Arc::new(vec![s]), Arc::new(vec![d]), 2);
+}
+
+#[test]
+#[should_panic(expected = "gather_scale_scatter: src index 3 out of 3 rows")]
+fn gather_scale_scatter_rejects_out_of_range_src() {
+    aggregate_on_edge(3, 0);
+}
+
+#[test]
+#[should_panic(expected = "gather_scale_scatter: dst index 2 out of 2 rows")]
+fn gather_scale_scatter_rejects_out_of_range_dst() {
+    aggregate_on_edge(0, 2);
+}
