@@ -68,8 +68,12 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let opts = Options::from_args(args);
-    let result = match sub.as_str() {
+    let args: Vec<String> = args.collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let result = Options::try_from_args(args).and_then(|opts| match sub.as_str() {
         "generate" => cmd_generate(&opts),
         "stats" => cmd_stats(&opts),
         "partition" => cmd_partition(&opts),
@@ -80,7 +84,7 @@ fn main() -> ExitCode {
             Ok(())
         }
         other => Err(format!("unknown subcommand '{other}'\n\n{USAGE}")),
-    };
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {

@@ -14,7 +14,7 @@
 use crate::driver::RoundDriver;
 use crate::protocol::{FlProtocol, StepOutcome};
 use crate::system::{ClientReturn, FlSystem, RunResult};
-use fedda_hetgraph::{HeteroGraph, LinkExample, LinkSampler};
+use fedda_hetgraph::{all_positives, EdgeIndex, HeteroGraph, LinkExample, LinkSampler};
 use fedda_hgn::{train_local, GraphView, TrainConfig};
 use fedda_metrics::MeanStd;
 use rand::rngs::StdRng;
@@ -31,9 +31,11 @@ pub fn run_global(system: &mut FlSystem) -> RunResult {
 }
 
 /// The centralised "server trains alone" pieces, cloned out of the system
-/// once per run (the sampler borrows the graph, so it is rebuilt per round).
+/// once per run. The sampler borrows the graph, so it is rebuilt per round
+/// over the negative-rejection index built here once.
 struct GlobalState {
     graph: HeteroGraph,
+    index: EdgeIndex,
     view: GraphView,
     positives: Vec<LinkExample>,
     train: TrainConfig,
@@ -76,9 +78,11 @@ impl FlProtocol for GlobalProtocol {
         // graph: rebuild the pieces the clients normally own.
         let graph = system.eval_graph().clone();
         let view = GraphView::new(&graph, system.model.uses_self_loops());
-        let positives = LinkSampler::new(&graph).all_positives();
+        let index = EdgeIndex::new(&graph);
+        let positives = all_positives(&graph);
         self.state = Some(GlobalState {
             graph,
+            index,
             view,
             positives,
             train: system.config().train.clone(),
@@ -114,7 +118,7 @@ impl FlProtocol for GlobalProtocol {
     ) -> StepOutcome {
         // fedda-lint: allow(panic-path, reason = "RoundDriver calls begin() before any round hook; a missing state is a protocol-engine bug")
         let state = self.state.as_ref().expect("begin() initialises the state");
-        let sampler = LinkSampler::new(&state.graph);
+        let sampler = LinkSampler::with_index(&state.graph, &state.index);
         train_local(
             system.model.as_ref(),
             &mut system.global,

@@ -8,7 +8,9 @@ use crate::compress::{Compression, UplinkCharge};
 use crate::faults::{FaultConfig, FaultObserved};
 use crate::protocol::LocalPenalty;
 use fedda_data::ClientData;
-use fedda_hetgraph::{HeteroGraph, LinkExample, LinkSampler};
+use fedda_hetgraph::{
+    all_positives, positives_of_types, EdgeIndex, HeteroGraph, LinkExample, LinkSampler,
+};
 use fedda_hgn::{
     evaluate, train_local_penalized, EvalResult, GraphView, HgnConfig, LinkPredictor, SimpleHgn,
     TrainConfig,
@@ -232,6 +234,9 @@ pub struct FlSystem {
     pub clients: Vec<Client>,
     cfg: FlConfig,
     eval_graph: HeteroGraph,
+    /// Negative-rejection index of `eval_graph`, built once: every
+    /// evaluation's sampler borrows it.
+    eval_index: EdgeIndex,
     eval_view: GraphView,
     test_positives: Vec<LinkExample>,
 }
@@ -284,8 +289,7 @@ impl FlSystem {
             .zip(client_seeds)
             .map(|(data, seed)| {
                 let view = GraphView::new(&data.graph, model.uses_self_loops());
-                let sampler = LinkSampler::new(&data.graph);
-                let positives = sampler.positives_of_types(&data.specialized);
+                let positives = positives_of_types(&data.graph, &data.specialized);
                 Client {
                     data,
                     view,
@@ -295,14 +299,14 @@ impl FlSystem {
             })
             .collect();
         let eval_view = GraphView::new(global_train, model.uses_self_loops());
-        let test_sampler = LinkSampler::new(global_test);
-        let test_positives = test_sampler.all_positives();
+        let test_positives = all_positives(global_test);
         Self {
             model,
             global,
             clients,
             cfg,
             eval_graph: global_train.clone(),
+            eval_index: EdgeIndex::new(global_train),
             eval_view,
             test_positives,
         }
@@ -586,30 +590,28 @@ impl FlSystem {
         }
     }
 
+    /// The evaluation RNG stream of `round` and a sampler over the cached
+    /// eval-graph index — shared by every evaluation entry point, so
+    /// frameworks sharing a seed draw the same negatives each round.
+    fn eval_sampler(&self, round: usize) -> (LinkSampler<'_>, StdRng) {
+        let rng = StdRng::seed_from_u64(self.cfg.seed ^ 0xEAE5 ^ (round as u64).wrapping_mul(31));
+        (
+            LinkSampler::with_index(&self.eval_graph, &self.eval_index),
+            rng,
+        )
+    }
+
     /// Evaluate the current global model on the global test edges
     /// (message passing over the global training graph). Deterministic per
     /// round so frameworks sharing a seed are comparable.
     pub fn evaluate_global(&self, round: usize) -> EvalResult {
-        let mut rng =
-            StdRng::seed_from_u64(self.cfg.seed ^ 0xEAE5 ^ (round as u64).wrapping_mul(31));
-        let sampler = LinkSampler::new(&self.eval_graph);
-        evaluate(
-            self.model.as_ref(),
-            &self.global,
-            &self.eval_view,
-            &sampler,
-            &self.test_positives,
-            self.cfg.eval_negatives,
-            &mut rng,
-        )
+        self.evaluate_params(&self.global, round)
     }
 
     /// Detailed evaluation of the current global model: per-edge-type AUC
     /// breakdown (the fairness view), Hits@K and average precision.
     pub fn evaluate_global_detailed(&self, round: usize) -> fedda_hgn::DetailedEvalResult {
-        let mut rng =
-            StdRng::seed_from_u64(self.cfg.seed ^ 0xEAE5 ^ (round as u64).wrapping_mul(31));
-        let sampler = LinkSampler::new(&self.eval_graph);
+        let (sampler, mut rng) = self.eval_sampler(round);
         fedda_hgn::evaluate_detailed(
             self.model.as_ref(),
             &self.global,
@@ -623,9 +625,7 @@ impl FlSystem {
 
     /// Evaluate an arbitrary parameter set (used by the Local baseline).
     pub fn evaluate_params(&self, params: &ParamSet, round: usize) -> EvalResult {
-        let mut rng =
-            StdRng::seed_from_u64(self.cfg.seed ^ 0xEAE5 ^ (round as u64).wrapping_mul(31));
-        let sampler = LinkSampler::new(&self.eval_graph);
+        let (sampler, mut rng) = self.eval_sampler(round);
         evaluate(
             self.model.as_ref(),
             params,

@@ -16,7 +16,8 @@
 //! * [`split`] — stratified train/test edge splits and fractional edge
 //!   sampling (the building blocks of the paper's system synthesis);
 //! * [`LinkSampler`] — positive/negative link-prediction examples with
-//!   type-respecting negative corruption;
+//!   type-respecting negative corruption, rejecting existing edges through
+//!   an [`EdgeIndex`] that an immutable graph's owner can build once;
 //! * [`io`] — JSON snapshots ([`io::GraphDoc`]) so synthesized federations
 //!   can be archived and reloaded bit-identically;
 //! * [`metapath`] — higher-order relation composition (the relational-join
@@ -33,5 +34,5 @@ mod schema;
 pub mod split;
 
 pub use graph::{EdgeList, HeteroGraph, MessageEdges, NodeId, NodeStore};
-pub use sampling::{LinkExample, LinkSampler};
+pub use sampling::{all_positives, positives_of_types, EdgeIndex, LinkExample, LinkSampler};
 pub use schema::{EdgeTypeId, EdgeTypeMeta, NodeTypeId, NodeTypeMeta, Schema};

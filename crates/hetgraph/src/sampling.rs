@@ -5,13 +5,15 @@
 //! a uniformly random node of the *same node type*, matching the standard
 //! protocol for link prediction on heterographs (and the one Simple-HGN's
 //! benchmark uses). An optional rejection step avoids sampling an existing
-//! edge as a negative.
+//! edge as a negative; its membership test is an [`EdgeIndex`], which a
+//! caller holding an immutable graph can build once and lend to every
+//! sampler over that graph ([`LinkSampler::with_index`]).
 
 use crate::graph::{HeteroGraph, NodeId};
 use crate::schema::EdgeTypeId;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::collections::BTreeSet;
+use std::borrow::Cow;
 
 /// One labelled example for the link-prediction loss/metrics.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -26,23 +28,117 @@ pub struct LinkExample {
     pub label: bool,
 }
 
+/// Edge-membership index of a graph: per edge type, the sorted and
+/// deduplicated keys `(src << 32) | dst` (lossless, since [`NodeId`] is
+/// `u32`). `contains` is a binary search over one flat `Vec<u64>`.
+#[derive(Clone, Debug)]
+pub struct EdgeIndex {
+    /// `keys[t]` — edge type `t`'s packed endpoints, ascending, no repeats.
+    keys: Vec<Vec<u64>>,
+    /// Edge count of the source graph before deduplication, so a sampler
+    /// can check that a lent index belongs to its graph.
+    num_edges: usize,
+}
+
+fn edge_key(src: NodeId, dst: NodeId) -> u64 {
+    (u64::from(src) << 32) | u64::from(dst)
+}
+
+impl EdgeIndex {
+    /// Index every edge of every type of `graph`.
+    pub fn new(graph: &HeteroGraph) -> Self {
+        let keys = graph
+            .schema()
+            .edge_type_ids()
+            .map(|t| {
+                let mut k: Vec<u64> = graph
+                    .edges_of_type(t)
+                    .iter()
+                    .map(|(s, d)| edge_key(s, d))
+                    .collect();
+                k.sort_unstable();
+                k.dedup();
+                k
+            })
+            .collect();
+        Self {
+            keys,
+            num_edges: graph.num_edges(),
+        }
+    }
+
+    /// Whether `(src, dst)` is an edge of type `etype`.
+    pub fn contains(&self, etype: EdgeTypeId, src: NodeId, dst: NodeId) -> bool {
+        self.keys
+            .get(usize::from(etype.0))
+            .is_some_and(|k| k.binary_search(&edge_key(src, dst)).is_ok())
+    }
+
+    /// Edge count of the indexed graph (duplicates counted).
+    pub fn num_edges(&self) -> usize {
+        self.num_edges
+    }
+}
+
+/// Positive examples of the given edge types, in type order then edge
+/// order (a biased client's "specialised" downstream task trains only on
+/// the types it holds). Needs no [`EdgeIndex`].
+pub fn positives_of_types(graph: &HeteroGraph, types: &[EdgeTypeId]) -> Vec<LinkExample> {
+    let len = types.iter().map(|&t| graph.edges_of_type(t).len()).sum();
+    let mut out = Vec::with_capacity(len);
+    for &t in types {
+        for (s, d) in graph.edges_of_type(t).iter() {
+            out.push(LinkExample {
+                src: s,
+                dst: d,
+                etype: t,
+                label: true,
+            });
+        }
+    }
+    out
+}
+
+/// Every edge of every type as a positive example.
+pub fn all_positives(graph: &HeteroGraph) -> Vec<LinkExample> {
+    let types: Vec<EdgeTypeId> = graph.schema().edge_type_ids().collect();
+    positives_of_types(graph, &types)
+}
+
 /// Draws positive/negative link examples from a heterograph.
 pub struct LinkSampler<'g> {
     graph: &'g HeteroGraph,
-    /// Existing edges as (etype, src, dst) for negative rejection.
-    existing: BTreeSet<(u16, NodeId, NodeId)>,
+    /// Existing edges, for negative rejection: owned by [`LinkSampler::new`],
+    /// borrowed by [`LinkSampler::with_index`].
+    index: Cow<'g, EdgeIndex>,
 }
 
 impl<'g> LinkSampler<'g> {
     /// Build a sampler; indexes the graph's edges for negative rejection.
     pub fn new(graph: &'g HeteroGraph) -> Self {
-        let mut existing = BTreeSet::new();
-        for t in graph.schema().edge_type_ids() {
-            for (s, d) in graph.edges_of_type(t).iter() {
-                existing.insert((t.0, s, d));
-            }
+        Self {
+            graph,
+            index: Cow::Owned(EdgeIndex::new(graph)),
         }
-        Self { graph, existing }
+    }
+
+    /// A sampler that borrows a prebuilt index of `graph` instead of
+    /// building one. Panics if `index` was built from a graph with a
+    /// different edge or edge-type count.
+    pub fn with_index(graph: &'g HeteroGraph, index: &'g EdgeIndex) -> Self {
+        assert!(
+            index.num_edges == graph.num_edges()
+                && index.keys.len() == graph.schema().num_edge_types(),
+            "EdgeIndex of {} edges / {} types lent to a graph of {} edges / {} types",
+            index.num_edges,
+            index.keys.len(),
+            graph.num_edges(),
+            graph.schema().num_edge_types()
+        );
+        Self {
+            graph,
+            index: Cow::Borrowed(index),
+        }
     }
 
     /// The underlying graph.
@@ -67,7 +163,7 @@ impl<'g> LinkSampler<'g> {
         );
         for _ in 0..32 {
             let d = candidates[rng.gen_range(0..candidates.len())];
-            if !self.existing.contains(&(etype.0, src, d)) {
+            if !self.index.contains(etype, src, d) {
                 return d;
             }
         }
@@ -76,35 +172,13 @@ impl<'g> LinkSampler<'g> {
 
     /// All positive examples of the graph (every edge of every type).
     pub fn all_positives(&self) -> Vec<LinkExample> {
-        let mut out = Vec::with_capacity(self.graph.num_edges());
-        for t in self.graph.schema().edge_type_ids() {
-            for (s, d) in self.graph.edges_of_type(t).iter() {
-                out.push(LinkExample {
-                    src: s,
-                    dst: d,
-                    etype: t,
-                    label: true,
-                });
-            }
-        }
-        out
+        all_positives(self.graph)
     }
 
-    /// Positives restricted to the given edge types (a biased client's
-    /// "specialised" downstream task trains only on the types it holds).
+    /// Positives restricted to the given edge types; see
+    /// [`positives_of_types`].
     pub fn positives_of_types(&self, types: &[EdgeTypeId]) -> Vec<LinkExample> {
-        let mut out = Vec::new();
-        for &t in types {
-            for (s, d) in self.graph.edges_of_type(t).iter() {
-                out.push(LinkExample {
-                    src: s,
-                    dst: d,
-                    etype: t,
-                    label: true,
-                });
-            }
-        }
-        out
+        positives_of_types(self.graph, types)
     }
 
     /// Pair each positive with `negatives_per_positive` corrupted negatives.
